@@ -279,6 +279,12 @@ class ChaosProxy:
 
     def stop(self) -> None:
         self._stopping.set()
+        # Closing a listening socket does not wake a thread parked in
+        # accept(); shutting it down does (accept() fails with EINVAL).
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

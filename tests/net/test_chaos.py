@@ -1,6 +1,7 @@
 """The deterministic fault-injection harness itself."""
 
 import random
+import time
 
 import pytest
 
@@ -157,6 +158,15 @@ class TestChaosProxy:
                 ]
         assert all(isinstance(reply, PuzzleResponse) for reply in replies)
         assert client.orphan_responses == 0
+
+    def test_stop_wakes_an_acceptor_parked_in_accept(self, wire):
+        proxy = proxy_for(wire, ChaosSchedule()).start()
+        acceptor = proxy._acceptor
+        time.sleep(0.3)  # let the acceptor park in accept()
+        started = time.perf_counter()
+        proxy.stop()
+        assert time.perf_counter() - started < 1.0
+        assert not acceptor.is_alive()
 
 
 class TestChaosNetwork:

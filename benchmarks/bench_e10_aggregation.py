@@ -1,9 +1,9 @@
-"""E10 — the daily aggregation batch and vendor ratings (Sec. 3.2/3.3).
+"""E10 — the daily tick and vendor ratings (Sec. 3.2/3.3).
 
-Two timed paths: the full nightly batch over the whole vote table, and
-the incremental variant touching only software with new votes.  Plus the
-polymorphic-vendor scenario: per-file ratings scatter, vendor ratings
-converge.
+The tick recomputes every rated digest from its votes and republishes
+the rows that moved: all of them on the first tick, only the digests
+with new votes on a quiet day.  Plus the polymorphic-vendor scenario:
+per-file ratings scatter, vendor ratings converge.
 """
 
 import pytest
@@ -27,8 +27,10 @@ def test_e10_exhibit(benchmark):
         seed=47,
     )
     record_exhibit("E10: aggregation batch + vendor ratings", result["rendered"])
-    assert result["full"]["software_recomputed"] == 500
-    assert result["incremental"]["software_recomputed"] < 50
+    assert result["first_tick"]["recomputed"] == 500
+    assert result["first_tick"]["republished"] == 500
+    assert result["quiet_day"]["recomputed"] == 500
+    assert result["quiet_day"]["republished"] == result["quiet_day"]["touched"]
     assert result["polymorphic"]["max_votes_per_file"] == 1
     assert result["polymorphic"]["vendor_score"] == pytest.approx(2.0)
 
@@ -59,7 +61,7 @@ def test_e10_freshness_exhibit(benchmark):
 
 
 def test_e10_full_batch_timing(benchmark):
-    """Wall-clock of the full nightly batch (500 software, 5000 votes)."""
+    """Wall-clock of the daily tick (500 software, 5000 votes)."""
     engine = build_loaded_engine(
         software_count=500, user_count=100, votes_per_software=10, seed=47
     )
@@ -69,25 +71,5 @@ def test_e10_full_batch_timing(benchmark):
         return engine.run_daily_aggregation()
 
     report = benchmark(batch)
-    assert report.software_recomputed == 500
+    assert report.checked == 500
 
-
-def test_e10_incremental_batch_timing(benchmark):
-    """Wall-clock of the incremental batch with a 10-vote quiet day."""
-    engine = build_loaded_engine(
-        software_count=500, user_count=100, votes_per_software=10, seed=48
-    )
-    engine.run_daily_aggregation()
-    counter = [0]
-
-    def quiet_day():
-        counter[0] += 1
-        username = f"late_{counter[0]}"
-        engine.enroll_user(username)
-        for index in range(10):
-            engine.cast_vote(username, f"{index:040x}", 5)
-        engine.clock.advance(days(1))
-        return engine.run_daily_aggregation(incremental=True)
-
-    report = benchmark(quiet_day)
-    assert report.software_recomputed <= 10

@@ -916,12 +916,12 @@ def run_e10_aggregation(
     votes_per_software: int = 8,
     seed: int = 47,
 ) -> dict:
-    """Full vs incremental batch work, plus the polymorphic-vendor story."""
+    """Daily tick work, plus the polymorphic-vendor story."""
     engine = build_loaded_engine(
         software_count, user_count, votes_per_software, seed
     )
     engine.clock.advance(days(1))
-    full_report = engine.run_daily_aggregation()
+    first_tick = engine.run_daily_aggregation()
     # A quiet day: only a handful of new votes.
     rng = random.Random(seed + 1)
     touched = set()
@@ -933,7 +933,7 @@ def run_e10_aggregation(
         engine.cast_vote(username, software_id, rng.randint(1, 10))
         touched.add(software_id)
     engine.clock.advance(days(1))
-    incremental_report = engine.run_daily_aggregation(incremental=True)
+    quiet_day = engine.run_daily_aggregation()
     # Polymorphic vendor: per-file ratings scatter, vendor rating holds.
     from ..winsim import Behavior, build_executable
 
@@ -947,16 +947,12 @@ def run_e10_aggregation(
     )
     poly = run_polymorphic_vendor(server, base, victims=30)
     rendered = render_table(
-        ["batch", "software recomputed", "votes considered"],
+        ["tick", "software recomputed", "scores republished"],
         [
-            ["full", full_report.software_recomputed, full_report.votes_considered],
-            [
-                "incremental",
-                incremental_report.software_recomputed,
-                incremental_report.votes_considered,
-            ],
+            ["first", first_tick.checked, first_tick.republished],
+            ["quiet day", quiet_day.checked, quiet_day.republished],
         ],
-        title="E10: daily aggregation work (full vs incremental)",
+        title="E10: daily tick work (recompute every digest, republish what moved)",
     ) + (
         f"\npolymorphic vendor: {poly.variants_served} downloads -> "
         f"{poly.distinct_software_ids} distinct IDs, max "
@@ -964,13 +960,13 @@ def run_e10_aggregation(
         f"{format_score(poly.vendor_score)} over {poly.vendor_rated_software} files"
     )
     return {
-        "full": {
-            "software_recomputed": full_report.software_recomputed,
-            "votes_considered": full_report.votes_considered,
+        "first_tick": {
+            "recomputed": first_tick.checked,
+            "republished": first_tick.republished,
         },
-        "incremental": {
-            "software_recomputed": incremental_report.software_recomputed,
-            "votes_considered": incremental_report.votes_considered,
+        "quiet_day": {
+            "recomputed": quiet_day.checked,
+            "republished": quiet_day.republished,
             "touched": len(touched),
         },
         "polymorphic": {

@@ -222,14 +222,16 @@ class TestE10Aggregation:
         )
 
     def test_full_touches_everything(self, result):
-        assert result["full"]["software_recomputed"] == 120
+        assert result["first_tick"]["recomputed"] == 120
+        assert result["first_tick"]["republished"] == 120
 
     def test_incremental_touches_only_dirty(self, result):
-        assert (
-            result["incremental"]["software_recomputed"]
-            == result["incremental"]["touched"]
-        )
-        assert result["incremental"]["software_recomputed"] < 120
+        """The quiet-day tick recomputes everything but republishes
+        only the digests that got new votes."""
+        quiet = result["quiet_day"]
+        assert quiet["recomputed"] == 120
+        assert quiet["republished"] == quiet["touched"]
+        assert quiet["republished"] < 120
 
     def test_polymorphic_vendor_rating_converges(self, result):
         poly = result["polymorphic"]

@@ -102,21 +102,3 @@ class TestVoteKey:
     def test_plain_names_keep_readable_keys(self):
         assert vote_key("alice", "sid1") == "alice:sid1"
 
-
-class TestDirtyTracking:
-    def test_cast_marks_dirty(self, book):
-        book.cast("a", "s1", 5, now=0)
-        assert book.dirty_software_ids() == {"s1"}
-
-    def test_drain_clears(self, book):
-        book.cast("a", "s1", 5, now=0)
-        drained = book.drain_dirty()
-        assert drained == {"s1"}
-        assert book.dirty_software_ids() == set()
-
-    def test_dirty_accumulates_until_drained(self, book):
-        book.cast("a", "s1", 5, now=0)
-        book.cast("b", "s2", 5, now=0)
-        book.drain_dirty()
-        book.cast("c", "s1", 5, now=0)
-        assert book.dirty_software_ids() == {"s1"}

@@ -172,10 +172,13 @@ class TestReconciliation:
         assert engine.software_reputation(DIGEST_A).score == 2.0
 
     def test_maybe_run_aggregation_reconciles_in_streaming_mode(self, engine):
-        """The daily slot the batch used to own now runs the audit."""
+        """The daily tick runs the same reconciliation under streaming;
+        scores already published per vote leave nothing to repair."""
         engine.cast_vote("alice", DIGEST_A, 2)
         engine.clock.advance(86_400 + 1)
-        assert engine.maybe_run_aggregation() is None
+        report = engine.maybe_run_aggregation()
+        assert (report.checked, report.mismatched, report.republished) == (1, 0, 0)
+        assert engine.aggregator.epoch == 0
         # The audit flushed as its durability checkpoint.
         assert engine.db.table(SUMS_SCHEMA_NAME).count() == 1
 

@@ -209,9 +209,9 @@ class TestEngineWiring:
 
 
 class TestBatchTrustRepublication:
-    """Regression (satellite 4): a trust mutation must republish the
-    digests its user already voted on — incremental batch runs used to
-    skip them because only votes populated the dirty set."""
+    """Regression: a trust mutation must republish, at the next tick,
+    the digests its user already voted on — incremental batch runs used
+    to skip them because only votes populated their dirty set."""
 
     def _batch_engine(self, trust_model=TRUST_LINEAR):
         clock = SimClock()
@@ -223,13 +223,22 @@ class TestBatchTrustRepublication:
         return engine, clock
 
     def test_trust_change_marks_voted_digests_dirty(self):
+        """The trust change folds into the digest's sums at once; its
+        published row waits for the tick."""
         engine, clock = self._batch_engine()
         digest = "11" * 20
         engine.cast_vote("user0", digest, 9)
+        engine.cast_vote("user1", digest, 1)
         engine.run_daily_aggregation()
-        assert engine.ratings.dirty_software_ids() == set()
+        published = engine.software_reputation(digest)
         engine.trust.force_set("user0", 50.0)
-        assert digest in engine.ratings.dirty_software_ids()
+        assert engine.scorer.sums_of(digest) == engine.scorer._recompute(digest)
+        assert engine.scorer.sums_of(digest)[1] == 51.0
+        assert engine.software_reputation(digest) == published
+        clock.advance(days(1))
+        report = engine.run_daily_aggregation()
+        assert report.republished == 1
+        assert engine.software_reputation(digest).total_weight == 51.0
 
     def test_incremental_run_republishes_reweighted_score(self):
         engine, clock = self._batch_engine()
@@ -242,8 +251,9 @@ class TestBatchTrustRepublication:
         version = engine.score_version(digest)
         # Pure trust mutation — no new votes anywhere.
         engine.trust.force_set("user0", 99.0)
+        assert engine.score_version(digest) == version
         clock.advance(days(1))
-        engine.run_daily_aggregation(incremental=True)
+        engine.run_daily_aggregation()
         second = engine.software_reputation(digest)
         assert second.score > 9.0
         assert engine.score_version(digest) > version
@@ -259,8 +269,9 @@ class TestBatchTrustRepublication:
         clock.advance(weeks(2))  # room under the weekly growth cap
         for grader in ("user1", "user2", "user3"):
             engine.add_remark(grader, comment.comment_id, positive=True)
+        assert engine.score_version(digest) == version
         clock.advance(days(1))
-        engine.run_daily_aggregation(incremental=True)
+        engine.run_daily_aggregation()
         assert engine.score_version(digest) > version
 
     def test_incremental_reweight_matches_full_recompute(self):
@@ -272,15 +283,13 @@ class TestBatchTrustRepublication:
         engine.run_daily_aggregation()
         engine.trust.penalize("user3", clock.now())
         clock.advance(days(1))
-        engine.run_daily_aggregation(incremental=True)
-        incremental = {
-            digest: engine.software_reputation(digest).score
-            for digest in digests
-        }
+        engine.run_daily_aggregation()
+        for digest in digests:
+            weighted_sum, weight_sum, vote_count = engine.scorer._recompute(digest)
+            published = engine.software_reputation(digest)
+            assert published.score == weighted_sum / weight_sum
+            assert published.total_weight == weight_sum
+            assert published.vote_count == vote_count
+        # The next quiet tick finds nothing left to republish.
         clock.advance(days(1))
-        engine.run_daily_aggregation(incremental=False)
-        full = {
-            digest: engine.software_reputation(digest).score
-            for digest in digests
-        }
-        assert incremental == full
+        assert engine.run_daily_aggregation().republished == 0

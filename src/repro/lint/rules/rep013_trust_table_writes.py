@@ -4,11 +4,10 @@ Trust is the system's attack surface: every vote weight, every
 collusion penalty, and every decayed posterior flows through
 :class:`~repro.core.trust.TrustLedger` (``trust_factors``) or
 :class:`~repro.core.trust2.BayesianTrustLedger` (``trust_evidence``).
-Both ledgers fire change listeners on every mutation — the streaming
-scorer republishes affected digests and the batch pipeline re-marks
-them dirty off those listeners (PR 10).  A direct ``insert``/
-``upsert``/``delete`` against either table from outside ``core/``
-changes a voter's weight without firing the listeners: published
+Both ledgers fire change listeners on every mutation, and the scoring
+fold re-weights the affected digests off those listeners.  A direct
+``insert``/``upsert``/``delete`` against either table from outside
+``core/`` changes a voter's weight without firing the listeners: published
 scores keep the stale weight until an unrelated vote happens to
 touch the same digest.
 

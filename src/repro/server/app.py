@@ -608,7 +608,13 @@ class ReputationServer:
     def run_daily_batch(self) -> None:
         """The 24-hour maintenance job: score aggregation plus any due
         runtime-analysis work (driven by the simulation loop)."""
-        self.engine.maybe_run_aggregation()
+        report = self.engine.maybe_run_aggregation()
+        if report is not None and self.engine.scoring_mode == SCORING_BATCH:
+            # The tick republishes only the digests whose rows moved, but
+            # a cached response also holds its vendor's score, the trust
+            # ranking of its comments and the epoch, any of which the
+            # tick may have moved without touching that digest's version.
+            self.score_cache.clear()
         if self.analysis is not None:
             if self.analysis.process_due(self.clock.now()):
                 # New runtime-analysis evidence changes cached responses

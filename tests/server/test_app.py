@@ -218,6 +218,24 @@ class TestSoftwareFlow:
         assert info.vote_count == 1
         assert info.vendor_score == pytest.approx(8.0)
 
+    def test_batch_tick_refreshes_sibling_vendor_score(self, server, session):
+        """A tick that republishes only a sibling digest still moves the
+        vendor score (and epoch) served for this one."""
+        sibling = "cd" * 20
+        self._query(server, session)
+        self._query(server, session, sid=sibling)
+        _rpc(server, VoteRequest(session=session, software_id="ab" * 20, score=9))
+        server.clock.advance(86400)
+        server.run_daily_batch()
+        assert self._query(server, session).vendor_score == pytest.approx(9.0)
+        _rpc(server, VoteRequest(session=session, software_id=sibling, score=1))
+        server.clock.advance(86400)
+        server.run_daily_batch()
+        info = self._query(server, session)
+        assert info.score == pytest.approx(9.0)
+        assert info.vendor_score == pytest.approx(5.0)
+        assert info.epoch == server.engine.aggregator.epoch
+
     def test_duplicate_vote_code(self, server, session):
         self._query(server, session)
         _rpc(server, VoteRequest(session=session, software_id="ab" * 20, score=8))
